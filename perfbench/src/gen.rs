@@ -108,13 +108,16 @@ fn widths(rng: &mut SplitMix64, n: usize) -> Vec<u32> {
     chosen
 }
 
-fn experiment_job(
-    title: String,
-    workloads: Vec<String>,
-    widths: Vec<u32>,
-    stride: usize,
-    limit: u64,
-) -> JobSpec {
+/// The instruction limit every experiment job of the repository's own
+/// serve callers uses (`examples/serve.rs`, the `serve_throughput` bench).
+pub const JOB_LIMIT: u64 = 20_000;
+
+/// Fresh requests per round. Every round runs on a new server, so the cell
+/// memo a request meets holds only the cells of the requests before it in
+/// its round, whatever the run's throughput.
+pub const FRESH_ROUND: u64 = 32;
+
+fn experiment_job(title: String, workloads: Vec<String>, widths: Vec<u32>, limit: u64) -> JobSpec {
     let strs = |items: Vec<String>| Value::Array(items.into_iter().map(Value::Str).collect());
     let job = Value::Object(vec![
         ("kind".into(), Value::Str("experiment".into())),
@@ -133,41 +136,43 @@ fn experiment_job(
                 ),
             ]),
         ),
-        ("stride".into(), Value::UInt(stride as u64)),
     ]);
     JobSpec::from_value(&job).expect("generated jobs name registry workloads and valid axes")
 }
 
-/// The hot pool: finished experiment jobs the clients re-submit. Every job
-/// has two workloads on a 16-point slice of Table 2 (two widths, stride
-/// 6), so every report has the same number of rows whatever the seed;
-/// seeds vary which workloads, widths and instruction limits.
+/// The shape of the `serve_throughput` bench's jobs: two workloads over a
+/// width slice of the full Table 2 space (no stride), three slices of two
+/// widths for every slice of three. Slot `i` fixes the slice size, so a
+/// pool or round of a multiple of 4 jobs has the same number of rows
+/// whatever the seed; the seed picks the workloads and widths.
+fn caller_shaped(rng: &mut SplitMix64, i: u64) -> (Vec<String>, Vec<u32>) {
+    let workloads = pick_distinct(rng, &kernel_names(), 2);
+    let widths = widths(rng, if i % 4 == 3 { 3 } else { 2 });
+    (workloads, widths)
+}
+
+/// The hot pool: finished experiment jobs the clients re-submit, each at
+/// the callers' limit. Every report has 192 or 288 rows.
 pub fn hot_pool(seed: u64) -> Vec<JobSpec> {
     let mut rng = SplitMix64::new(seed ^ 0x407_9001);
-    let names = kernel_names();
-    (0..HOT_POOL)
+    (0..HOT_POOL as u64)
         .map(|i| {
-            let workloads = pick_distinct(&mut rng, &names, 2);
-            let widths = widths(&mut rng, 2);
-            let limit = 2_000 + 500 * rng.below(16) as u64;
-            experiment_job(format!("hot-{i}"), workloads, widths, 6, limit)
+            let (workloads, widths) = caller_shaped(&mut rng, i);
+            experiment_job(format!("hot-{i}"), workloads, widths, JOB_LIMIT)
         })
         .collect()
 }
 
-/// The `index`-th job of the fresh request sequence. The instruction limit
-/// is unique per index, so no two requests of a run share a job, a cell, a
-/// recording or a profile: every request is a miss at every layer.
+/// The `index`-th job of the fresh request sequence. Its limit is the
+/// callers' limit plus the job's place in its round, so no two requests of
+/// a round share a job, a cell, a recording or a profile: every request is
+/// a miss at every layer. The limit grows by at most `FRESH_ROUND - 1`
+/// instructions, so the work per request stays the same to within 0.2%.
 pub fn fresh_job(seed: u64, index: u64) -> JobSpec {
     let mut rng = SplitMix64::new(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let names = kernel_names();
-    let n_workloads = range(&mut rng, 1, 2);
-    let workloads = pick_distinct(&mut rng, &names, n_workloads);
-    let n_widths = range(&mut rng, 1, 2);
-    let widths = widths(&mut rng, n_widths);
-    let stride = range(&mut rng, 6, 16);
-    let limit = 3_000 + 2 * index + (seed & 1);
-    experiment_job(format!("fresh-{index}"), workloads, widths, stride, limit)
+    let (workloads, widths) = caller_shaped(&mut rng, index);
+    let limit = JOB_LIMIT + index % FRESH_ROUND;
+    experiment_job(format!("fresh-{index}"), workloads, widths, limit)
 }
 
 /// The hot pool index a client sends next: a seeded uniform stream per
@@ -216,10 +221,15 @@ mod tests {
 
     #[test]
     fn fresh_jobs_never_repeat_and_hot_jobs_are_distinct() {
-        let mut fresh: Vec<u64> = (0..2_000).map(|i| fresh_job(5, i).fingerprint()).collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        assert_eq!(fresh.len(), 2_000);
+        // Unique within a round, which is all one server ever sees.
+        for round in 0..4 {
+            let mut fresh: Vec<u64> = (round * FRESH_ROUND..(round + 1) * FRESH_ROUND)
+                .map(|i| fresh_job(5, i).fingerprint())
+                .collect();
+            fresh.sort_unstable();
+            fresh.dedup();
+            assert_eq!(fresh.len(), FRESH_ROUND as usize);
+        }
         let mut hot: Vec<u64> = hot_pool(5).iter().map(JobSpec::fingerprint).collect();
         hot.sort_unstable();
         hot.dedup();
