@@ -114,8 +114,9 @@ pub const JOB_LIMIT: u64 = 20_000;
 
 /// Fresh requests per round. Every round runs on a new server, so the cell
 /// memo a request meets holds only the cells of the requests before it in
-/// its round, whatever the run's throughput.
-pub const FRESH_ROUND: u64 = 32;
+/// its round, whatever the run's throughput. A multiple of 4, so every round
+/// has the same number of report rows.
+pub const FRESH_ROUND: u64 = 16;
 
 fn experiment_job(title: String, workloads: Vec<String>, widths: Vec<u32>, limit: u64) -> JobSpec {
     let strs = |items: Vec<String>| Value::Array(items.into_iter().map(Value::Str).collect());
@@ -167,7 +168,7 @@ pub fn hot_pool(seed: u64) -> Vec<JobSpec> {
 /// callers' limit plus the job's place in its round, so no two requests of
 /// a round share a job, a cell, a recording or a profile: every request is
 /// a miss at every layer. The limit grows by at most `FRESH_ROUND - 1`
-/// instructions, so the work per request stays the same to within 0.2%.
+/// instructions, so the work per request stays the same to within 0.1%.
 pub fn fresh_job(seed: u64, index: u64) -> JobSpec {
     let mut rng = SplitMix64::new(seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15));
     let (workloads, widths) = caller_shaped(&mut rng, index);
@@ -175,17 +176,31 @@ pub fn fresh_job(seed: u64, index: u64) -> JobSpec {
     experiment_job(format!("fresh-{index}"), workloads, widths, limit)
 }
 
-/// The hot pool index a client sends next: a seeded uniform stream per
-/// client.
-pub struct HotOrder(SplitMix64);
+/// The hot pool index a client sends next: per client, a seeded shuffle of
+/// the whole pool, then another. Each cycle sends every job once, so the
+/// share of 288-row reports is the same whatever the seed.
+pub struct HotOrder {
+    rng: SplitMix64,
+    cycle: Vec<usize>,
+}
 
 impl HotOrder {
     pub fn new(seed: u64, client: usize) -> HotOrder {
-        HotOrder(SplitMix64::new(seed ^ 0xc11e_0000 ^ client as u64))
+        HotOrder {
+            rng: SplitMix64::new(seed ^ 0xc11e_0000 ^ client as u64),
+            cycle: Vec::new(),
+        }
     }
 
     pub fn next_index(&mut self) -> usize {
-        self.0.below(HOT_POOL)
+        if self.cycle.is_empty() {
+            self.cycle = (0..HOT_POOL).collect();
+            for i in (1..HOT_POOL).rev() {
+                let j = self.rng.below(i + 1);
+                self.cycle.swap(i, j);
+            }
+        }
+        self.cycle.pop().expect("a refilled cycle is not empty")
     }
 }
 
@@ -217,6 +232,16 @@ mod tests {
         };
         assert_eq!(sequence(3), sequence(3));
         assert_ne!(sequence(3), sequence(4));
+    }
+
+    #[test]
+    fn hot_order_sends_every_pool_job_once_per_cycle() {
+        let mut order = HotOrder::new(9, 1);
+        for _ in 0..3 {
+            let mut cycle: Vec<usize> = (0..HOT_POOL).map(|_| order.next_index()).collect();
+            cycle.sort_unstable();
+            assert_eq!(cycle, (0..HOT_POOL).collect::<Vec<_>>());
+        }
     }
 
     #[test]

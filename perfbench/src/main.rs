@@ -125,7 +125,7 @@ pub struct Outcome {
     /// False once any output check failed.
     pub correct: bool,
     pub setup_s: f64,
-    /// Operation latencies in seconds, and the window they completed in.
+    /// Operation latencies in seconds, and operations completed per second.
     pub e2e: Option<(Vec<f64>, f64)>,
     pub layers: BTreeMap<&'static str, f64>,
     pub notes: Vec<String>,
@@ -156,10 +156,10 @@ impl Outcome {
         self.notes.push(format!("CHECK FAILED: {note}"));
     }
 
-    /// Records the run's operation latencies (seconds) and the wall window
-    /// in which they completed.
-    pub fn ops(&mut self, latencies: &[f64], window: f64) {
-        self.e2e = Some((latencies.to_vec(), window));
+    /// Records the run's operation latencies (seconds) and its throughput
+    /// (operations per second).
+    pub fn ops(&mut self, latencies: &[f64], per_s: f64) {
+        self.e2e = Some((latencies.to_vec(), per_s));
     }
 
     fn metrics(&self, trace: bool) -> Vec<(&'static str, f64, &'static str)> {
@@ -175,7 +175,7 @@ impl Outcome {
                 })
                 .collect();
         }
-        let (latencies, window) = self.e2e.clone().unwrap_or((vec![f64::NAN], f64::NAN));
+        let (latencies, per_s) = self.e2e.clone().unwrap_or((vec![f64::NAN], f64::NAN));
         END_TO_END
             .iter()
             .map(|&(name, unit)| {
@@ -183,7 +183,7 @@ impl Outcome {
                     "setup_s" => self.setup_s,
                     "p50_ms" => median(&latencies) * 1e3,
                     "p90_ms" => quantile(&latencies, 0.9) * 1e3,
-                    "ops_per_s" => latencies.len() as f64 / window,
+                    "ops_per_s" => per_s,
                     _ => peak_rss_mb(),
                 };
                 (name, value, unit)
@@ -244,11 +244,11 @@ fn run_one(args: &Args) -> ExitCode {
         args.seed,
         u8::from(args.trace)
     );
-    if let Some((latencies, window)) = &outcome.e2e {
+    if let Some((latencies, per_s)) = &outcome.e2e {
         let n = latencies.len();
         let tail = tail_percentile(n).map_or("none".to_string(), |q| format!("p{:.2}", 100.0 * q));
         println!(
-            "{n} operations in {window:.3} s; highest percentile with >= 10 beyond: {tail}{}",
+            "{n} operations at {per_s:.3}/s; highest percentile with >= 10 beyond: {tail}{}",
             if supports(n, 0.9) {
                 ""
             } else {
@@ -400,7 +400,7 @@ mod tests {
         let mut out = Outcome::new(0.25);
         out.tally.record(true);
         out.tally.record(false);
-        out.ops(&[0.010, 0.020, 0.030], 0.5);
+        out.ops(&[0.010, 0.020, 0.030], 6.0);
         let metrics: Vec<(String, f64, &str)> = out
             .metrics(false)
             .into_iter()

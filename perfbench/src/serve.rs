@@ -40,9 +40,10 @@ const FRESH_KEPT: usize = 16;
 const FRESH_TRACE_EVERY: u64 = 8;
 /// Failures a client describes in notes; the rest are only counted.
 const MAX_NOTES: u64 = 5;
-/// Windows of a traced `serve-hot` run; a traced `serve-fresh` run takes
-/// rounds in the same untraced/traced order until a multiple of four.
-const TRACE_WINDOWS: usize = 8;
+/// Windows of a `serve-hot` run, each an eighth of `--seconds`; a traced
+/// run alternates them untraced and traced, and a traced `serve-fresh` run
+/// takes rounds in the same order until a multiple of four.
+const HOT_WINDOWS: usize = 8;
 
 pub struct ServeKind {
     hot: bool,
@@ -180,23 +181,18 @@ impl ServeKind {
             .iter()
             .map(|job| in_process(job).unwrap_or_else(|e| format!("error: {e}")))
             .collect();
-        // serve-hot measures one window on the primed server (eight when
-        // traced, alternating untraced and traced in the order U T T U U T
-        // T U). serve-fresh measures whole rounds, each on a new server,
-        // until the time is up; traced, the rounds alternate in the same
-        // order.
-        let each = if self.hot && args.trace {
-            args.seconds / TRACE_WINDOWS as f64
-        } else {
-            args.seconds
-        };
+        // serve-hot measures eight windows on the primed server (traced,
+        // alternating untraced and traced in the order U T T U U T T U).
+        // serve-fresh measures whole rounds, each on a new server, until the
+        // time is up; traced, the rounds alternate in the same order.
+        let each = args.seconds / HOT_WINDOWS as f64;
         let begin = Instant::now();
         let mut rec = Recorder::new(begin);
         let (mut base_logs, mut logs) = (Vec::new(), Vec::new());
         let (mut executions, mut hits, mut lookups) = (0, 0, 0);
         for w in 0.. {
             let more = if self.hot {
-                w < if args.trace { TRACE_WINDOWS } else { 1 }
+                w < HOT_WINDOWS
             } else {
                 begin.elapsed().as_secs_f64() < args.seconds || (args.trace && w % 4 != 0)
             };
@@ -318,13 +314,11 @@ impl ServeKind {
     /// submission was a dedup hit. The latencies count only with
     /// `report_ops` (a traced run reports its traced half).
     fn finish(&self, logs: Vec<ClientLog>, out: &mut Outcome, report_ops: bool) {
+        let per_s = throughput(&logs);
         let mut latencies = Vec::new();
-        let mut ends: std::collections::BTreeMap<usize, f64> = Default::default();
         let (mut submits, mut deduped) = (0, 0);
         for log in logs {
             latencies.extend(log.latencies);
-            let end = ends.entry(log.window).or_insert(0.0);
-            *end = end.max(log.end);
             out.tally.merge(log.tally);
             submits += log.submits;
             deduped += log.deduped;
@@ -345,7 +339,31 @@ impl ServeKind {
             out.fail("no request completed".into());
             return;
         }
-        out.ops(&latencies, ends.values().sum());
+        out.ops(&latencies, per_s);
+    }
+}
+
+/// Requests per second: the median over windows of each window's rate, so
+/// that a stall of the shared host that hits a few windows does not move
+/// it. A window's rate is its requests over its clients' mean time to their
+/// last reply: the client that finishes a round first does not wait out the
+/// other's last request, and however a round's large jobs fall to the
+/// clients, the rate counts the same work.
+fn throughput(logs: &[ClientLog]) -> f64 {
+    // Per window: requests, summed client times, clients.
+    let mut windows: std::collections::BTreeMap<usize, (f64, f64, f64)> = Default::default();
+    for log in logs.iter().filter(|l| !l.latencies.is_empty()) {
+        let w = windows.entry(log.window).or_default();
+        *w = (w.0 + log.latencies.len() as f64, w.1 + log.end, w.2 + 1.0);
+    }
+    let rates: Vec<f64> = windows
+        .into_values()
+        .map(|(n, time, clients)| n * clients / time)
+        .collect();
+    if rates.is_empty() {
+        f64::NAN
+    } else {
+        median(&rates)
     }
 }
 
@@ -766,6 +784,31 @@ fn layers(rec: &Recorder, logs: &[ClientLog]) -> std::collections::BTreeMap<&'st
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn throughput_is_the_median_window_rate() {
+        let log = |window, n, end| ClientLog {
+            window,
+            latencies: vec![0.1; n],
+            end,
+            ..ClientLog::default()
+        };
+        let logs = [
+            // 8 requests over a mean client time of 1 s, however they split.
+            log(0, 6, 1.0),
+            log(0, 2, 1.0),
+            // A stalled window reads 4/s and is out-voted.
+            log(1, 4, 2.0),
+            log(1, 4, 2.0),
+            // 8 requests over a mean of 1 s: one client finished early.
+            log(2, 5, 1.2),
+            log(2, 3, 0.8),
+            // A client that completed nothing does not count.
+            log(2, 0, 0.0),
+        ];
+        assert_eq!(throughput(&logs), 8.0);
+        assert!(throughput(&[]).is_nan());
+    }
 
     #[test]
     fn refused_requests_count_as_failed_attempts() {

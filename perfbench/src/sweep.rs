@@ -180,7 +180,7 @@ impl Sweep {
         if times.is_empty() {
             return;
         }
-        out.ops(&times, times.iter().sum());
+        out.ops(&times, times.len() as f64 / times.iter().sum::<f64>());
     }
 
     /// The deterministic accuracy figures of the validation sweep.
@@ -268,7 +268,7 @@ impl Sweep {
         if e2e.is_empty() {
             return;
         }
-        out.ops(&e2e, e2e.iter().sum());
+        out.ops(&e2e, e2e.len() as f64 / e2e.iter().sum::<f64>());
         let keys: Vec<&'static str> = reps[0].keys().copied().collect();
         for key in keys {
             let values: Vec<f64> = reps.iter().map(|r| r[key]).collect();
