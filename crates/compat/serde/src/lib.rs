@@ -12,6 +12,7 @@
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -111,6 +112,12 @@ impl std::error::Error for DeError {}
 pub trait Serialize {
     /// Converts `self` into a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Borrows `self` as a [`Value`] when it already is one, so writers
+    /// skip the deep copy [`to_value`](Serialize::to_value) would make.
+    fn to_value_cow(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Deserialization out of the [`Value`] tree.
@@ -121,6 +128,16 @@ pub trait Deserialize: Sized {
     ///
     /// Returns a [`DeError`] if the value's shape does not match.
     fn from_value(value: &Value) -> Result<Self, DeError>;
+
+    /// Like [`from_value`](Deserialize::from_value), but consumes the
+    /// tree, so a [`Value`] target takes it over without a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`DeError`] if the value's shape does not match.
+    fn from_owned_value(value: Value) -> Result<Self, DeError> {
+        Self::from_value(&value)
+    }
 }
 
 /// Looks up and deserializes a struct field; used by the derive macro.
@@ -195,6 +212,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (*self).to_value()
     }
+
+    fn to_value_cow(&self) -> Cow<'_, Value> {
+        (**self).to_value_cow()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -254,6 +275,10 @@ impl_ser_tuple!(
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn to_value_cow(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -369,6 +394,10 @@ impl_de_tuple!(
 impl Deserialize for Value {
     fn from_value(value: &Value) -> Result<Self, DeError> {
         Ok(value.clone())
+    }
+
+    fn from_owned_value(value: Value) -> Result<Self, DeError> {
+        Ok(value)
     }
 }
 

@@ -212,7 +212,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let out = match parse_item(input) {
         Item::Struct(name, fields) => {
             let mut pushes = String::new();
+            let mut count = 0;
             for f in fields.iter().filter(|f| !f.skip) {
+                count += 1;
                 pushes.push_str(&format!(
                     "__fields.push((\"{n}\".to_string(), serde::Serialize::to_value(&self.{n})));\n",
                     n = f.name
@@ -222,7 +224,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                 "#[allow(unused_mut, unused_variables)]\n\
                  impl serde::Serialize for {name} {{\n\
                      fn to_value(&self) -> serde::Value {{\n\
-                         let mut __fields: Vec<(String, serde::Value)> = Vec::new();\n\
+                         let mut __fields: Vec<(String, serde::Value)> = Vec::with_capacity({count});\n\
                          {pushes}\
                          serde::Value::Object(__fields)\n\
                      }}\n\

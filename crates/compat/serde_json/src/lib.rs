@@ -6,6 +6,7 @@
 //! with two spaces.
 
 use std::fmt;
+use std::io::{self, Write};
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
@@ -44,95 +45,121 @@ pub type Result<T> = std::result::Result<T, Error>;
 // Writing
 // ---------------------------------------------------------------------------
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+fn escape_into<W: Write + ?Sized>(out: &mut W, s: &str) -> io::Result<()> {
+    out.write_all(b"\"")?;
+    let bytes = s.as_bytes();
+    // Copy each run of plain bytes in one write; multi-byte characters
+    // are all >= 0x80 and pass through untouched.
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.write_all(&bytes[run..i])?;
+        match b {
+            b'"' => out.write_all(b"\\\"")?,
+            b'\\' => out.write_all(b"\\\\")?,
+            b'\n' => out.write_all(b"\\n")?,
+            b'\r' => out.write_all(b"\\r")?,
+            b'\t' => out.write_all(b"\\t")?,
+            _ => write!(out, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_all(&bytes[run..])?;
+    out.write_all(b"\"")
 }
 
-fn write_float(out: &mut String, f: f64) {
+fn write_float<W: Write + ?Sized>(out: &mut W, f: f64) -> io::Result<()> {
     if f.is_finite() {
         let s = format!("{f}");
-        out.push_str(&s);
+        out.write_all(s.as_bytes())?;
         // Keep the float/integer distinction through a round trip.
         if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-            out.push_str(".0");
+            out.write_all(b".0")?;
         }
+        Ok(())
     } else {
         // JSON has no NaN/Infinity; emit null like serde_json's lossy modes.
-        out.push_str("null");
+        out.write_all(b"null")
     }
 }
 
-fn write_value(out: &mut String, value: &Value, indent: Option<usize>) {
+fn write_value<W: Write + ?Sized>(
+    out: &mut W,
+    value: &Value,
+    indent: Option<usize>,
+) -> io::Result<()> {
     match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Null => out.write_all(b"null"),
+        Value::Bool(b) => out.write_all(if *b { b"true" } else { b"false" }),
+        Value::Int(i) => write!(out, "{i}"),
+        Value::UInt(u) => write!(out, "{u}"),
         Value::Float(f) => write_float(out, *f),
         Value::Str(s) => escape_into(out, s),
         Value::Array(items) => {
-            write_seq(out, ('[', ']'), items.iter(), indent, |out, item, ind| {
+            write_seq(out, (b'[', b']'), items.iter(), indent, |out, item, ind| {
                 write_value(out, item, ind)
             })
         }
         Value::Object(fields) => write_seq(
             out,
-            ('{', '}'),
+            (b'{', b'}'),
             fields.iter(),
             indent,
             |out, (k, v), ind| {
-                escape_into(out, k);
-                out.push(':');
-                if ind.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, v, ind);
+                escape_into(out, k)?;
+                out.write_all(if ind.is_some() { b": " } else { b":" })?;
+                write_value(out, v, ind)
             },
         ),
     }
 }
 
-fn write_seq<T>(
-    out: &mut String,
-    (open, close): (char, char),
+fn write_seq<W: Write + ?Sized, T>(
+    out: &mut W,
+    (open, close): (u8, u8),
     items: impl ExactSizeIterator<Item = T>,
     indent: Option<usize>,
-    mut write_item: impl FnMut(&mut String, T, Option<usize>),
-) {
-    out.push(open);
+    mut write_item: impl FnMut(&mut W, T, Option<usize>) -> io::Result<()>,
+) -> io::Result<()> {
+    out.write_all(&[open])?;
     let len = items.len();
     if len == 0 {
-        out.push(close);
-        return;
+        return out.write_all(&[close]);
     }
     let inner = indent.map(|i| i + 1);
     for (i, item) in items.enumerate() {
         if let Some(level) = inner {
-            out.push('\n');
-            out.push_str(&"  ".repeat(level));
+            write_newline(out, level)?;
         }
-        write_item(out, item, inner);
+        write_item(out, item, inner)?;
         if i + 1 < len {
-            out.push(',');
+            out.write_all(b",")?;
         }
     }
     if let Some(level) = indent {
-        out.push('\n');
-        out.push_str(&"  ".repeat(level));
+        write_newline(out, level)?;
     }
-    out.push(close);
+    out.write_all(&[close])
+}
+
+fn write_newline<W: Write + ?Sized>(out: &mut W, level: usize) -> io::Result<()> {
+    out.write_all(b"\n")?;
+    for _ in 0..level {
+        out.write_all(b"  ")?;
+    }
+    Ok(())
+}
+
+/// Serializes `value` as compact JSON into `writer`. A [`Value`] is
+/// written in place, without first copying it.
+///
+/// # Errors
+///
+/// Returns an [`Error`] if `writer` fails.
+pub fn to_writer<W: Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
+    write_value(&mut writer, &value.to_value_cow(), None).map_err(|e| Error::new(e.to_string()))
 }
 
 /// Serializes `value` as compact JSON.
@@ -141,9 +168,9 @@ fn write_seq<T>(
 ///
 /// Infallible for the shim's value model; kept fallible for API parity.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None);
-    Ok(out)
+    let mut out = Vec::new();
+    to_writer(&mut out, value)?;
+    Ok(String::from_utf8(out).expect("JSON text is UTF-8"))
 }
 
 /// Serializes `value` as pretty-printed JSON (two-space indent).
@@ -152,9 +179,9 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 ///
 /// Infallible for the shim's value model; kept fallible for API parity.
 pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(0));
-    Ok(out)
+    let mut out = Vec::new();
+    write_value(&mut out, &value.to_value_cow(), Some(0)).expect("writing to a Vec succeeds");
+    Ok(String::from_utf8(out).expect("JSON text is UTF-8"))
 }
 
 /// Serializes `value` into the shim's [`Value`] tree.
@@ -170,16 +197,33 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value> {
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Most arrays and objects one document may nest, as in `serde_json`.
+/// Parsing recurses once per level, so the limit bounds stack use on
+/// untrusted input.
+const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
+    /// Elements of the arrays and fields of the objects still open,
+    /// innermost last. A container that closes moves its own tail out
+    /// into a vector of exactly its length, so parsed trees carry no
+    /// spare capacity and building them does no reallocation.
+    items: Vec<Value>,
+    fields: Vec<(String, Value)>,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Parser<'a> {
         Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
+            items: Vec::new(),
+            fields: Vec::new(),
         }
     }
 
@@ -245,49 +289,66 @@ impl<'a> Parser<'a> {
                 }
             }
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Array(items));
-                        }
-                        _ => return Err(self.error("expected `,` or `]`")),
-                    }
-                }
-            }
-            b'{' => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Object(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    fields.push((key, value));
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Object(fields));
-                        }
-                        _ => return Err(self.error("expected `,` or `}`")),
-                    }
-                }
-            }
+            b'[' => self.nested(Parser::parse_array),
+            b'{' => self.nested(Parser::parse_object),
             _ => self.parse_number(),
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing at the byte that
+    /// would cross [`RECURSION_LIMIT`].
+    fn nested(&mut self, parse: fn(&mut Parser<'a>) -> Result<Value>) -> Result<Value> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(self.error("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    fn parse_array(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let start = self.items.len();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Array(Vec::new()));
+        }
+        loop {
+            let item = self.parse_value()?;
+            self.items.push(item);
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Array(self.items.drain(start..).collect()));
+                }
+                _ => return Err(self.error("expected `,` or `]`")),
+            }
+        }
+    }
+
+    fn parse_object(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let start = self.fields.len();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Object(Vec::new()));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            self.fields.push((key, value));
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Object(self.fields.drain(start..).collect()));
+                }
+                _ => return Err(self.error("expected `,` or `}`")),
+            }
         }
     }
 
@@ -295,61 +356,83 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| self.error("unterminated string"))?;
-            match b {
-                b'"' => {
+            // Append the run of plain characters up to the next quote or
+            // escape in one go. Both delimiters are ASCII, so the run
+            // starts and ends on character boundaries of the `&str` input.
+            let run = self.pos;
+            let len = self.bytes[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - run);
+            self.pos += len;
+            out.push_str(&self.text[run..self.pos]);
+            match self.bytes.get(self.pos) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                b'\\' => {
+                Some(_) => {
                     self.pos += 1;
-                    let esc = *self
-                        .bytes
-                        .get(self.pos)
-                        .ok_or_else(|| self.error("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex)
-                                    .map_err(|_| self.error("invalid \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.error("invalid \\u escape"))?;
-                            self.pos += 4;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| self.error("invalid code point"))?,
-                            );
-                        }
-                        _ => return Err(self.error("unknown escape")),
-                    }
-                }
-                _ => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    let c = self.parse_escape()?;
                     out.push(c);
-                    self.pos += c.len_utf8();
                 }
             }
         }
+    }
+
+    /// Decodes the escape after a `\`.
+    fn parse_escape(&mut self) -> Result<char> {
+        let esc = *self
+            .bytes
+            .get(self.pos)
+            .ok_or_else(|| self.error("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match esc {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let mut code = self.parse_hex4()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    // A UTF-16 high surrogate; its low half follows as a
+                    // second `\u` escape.
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(self.error("unpaired surrogate"));
+                    }
+                    self.pos += 2;
+                    let low = self.parse_hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.error("unpaired surrogate"));
+                    }
+                    code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                }
+                char::from_u32(code).ok_or_else(|| self.error("invalid code point"))?
+            }
+            _ => return Err(self.error("unknown escape")),
+        })
+    }
+
+    /// Reads the four hex digits of a `\u` escape.
+    fn parse_hex4(&mut self) -> Result<u32> {
+        let bytes = self.bytes;
+        let hex = bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.error("truncated \\u escape"))?;
+        let mut code = 0;
+        for &h in hex {
+            let digit = char::from(h)
+                .to_digit(16)
+                .ok_or_else(|| self.error("invalid \\u escape"))?;
+            code = code * 16 + digit;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn parse_number(&mut self) -> Result<Value> {
@@ -362,8 +445,7 @@ impl<'a> Parser<'a> {
                 break;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.error("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() {
             return Err(self.error("expected a value"));
         }
@@ -383,6 +465,9 @@ impl<'a> Parser<'a> {
 
 /// Parses JSON text into a `T`.
 ///
+/// Time is linear in the length of `text`. At most 128 arrays and
+/// objects may nest.
+///
 /// # Errors
 ///
 /// Returns an [`Error`] on malformed JSON or a shape mismatch.
@@ -393,7 +478,7 @@ pub fn from_str<T: Deserialize>(text: &str) -> Result<T> {
     if parser.pos != parser.bytes.len() {
         return Err(parser.error("trailing characters"));
     }
-    Ok(T::from_value(&value)?)
+    Ok(T::from_owned_value(value)?)
 }
 
 #[cfg(test)]
@@ -440,5 +525,35 @@ mod tests {
     fn errors_carry_position() {
         let err = from_str::<bool>("troo").unwrap_err();
         assert!(err.to_string().contains("byte"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_the_recursion_limit() {
+        // `depth` containers: `depth - 1` wrappers around an empty one.
+        let nest = |depth: usize, open: &str, empty: &str, close: &str| {
+            open.repeat(depth - 1) + empty + &close.repeat(depth - 1)
+        };
+        for (open, empty, close) in [("[", "[]", "]"), ("{\"k\":", "{}", "}")] {
+            let text = nest(RECURSION_LIMIT, open, empty, close);
+            let mut innermost = from_str::<Value>(&text).unwrap();
+            for _ in 1..RECURSION_LIMIT {
+                innermost = match innermost {
+                    Value::Array(mut items) => items.pop().unwrap(),
+                    Value::Object(mut fields) => fields.pop().unwrap().1,
+                    other => panic!("expected a container, got {other:?}"),
+                };
+            }
+            assert!(matches!(innermost, Value::Array(_) | Value::Object(_)));
+            let text = nest(RECURSION_LIMIT + 1, open, empty, close);
+            let err = from_str::<Value>(&text).unwrap_err();
+            let at = RECURSION_LIMIT * open.len();
+            assert_eq!(
+                err.to_string(),
+                format!("recursion limit exceeded at byte {at}")
+            );
+        }
+        // Far past the limit: an error, not a stack overflow.
+        let err = from_str::<Value>(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit exceeded"));
     }
 }

@@ -126,9 +126,7 @@ impl Client {
     /// the job failed.
     pub fn result(&mut self, id: u64) -> Result<Value, ServeError> {
         let response = self.request(&Request::Result(id))?;
-        response
-            .get("result")
-            .cloned()
+        take_field(response, "result")
             .ok_or_else(|| ServeError::Protocol("result reply has no `result`".into()))
     }
 
@@ -150,9 +148,7 @@ impl Client {
     /// See [`request`](Client::request).
     pub fn stats(&mut self) -> Result<Value, ServeError> {
         let response = self.request(&Request::Stats)?;
-        response
-            .get("stats")
-            .cloned()
+        take_field(response, "stats")
             .ok_or_else(|| ServeError::Protocol("stats reply has no `stats`".into()))
     }
 
@@ -164,9 +160,7 @@ impl Client {
     /// See [`request`](Client::request).
     pub fn metrics(&mut self) -> Result<Value, ServeError> {
         let response = self.request(&Request::Metrics(MetricsFormat::Json))?;
-        response
-            .get("metrics")
-            .cloned()
+        take_field(response, "metrics")
             .ok_or_else(|| ServeError::Protocol("metrics reply has no `metrics`".into()))
     }
 
@@ -194,9 +188,7 @@ impl Client {
     /// jobs that ran with profile capture disabled.
     pub fn profile(&mut self, id: u64) -> Result<Value, ServeError> {
         let response = self.request(&Request::Profile(id))?;
-        response
-            .get("profile")
-            .cloned()
+        take_field(response, "profile")
             .ok_or_else(|| ServeError::Protocol("profile reply has no `profile`".into()))
     }
 
@@ -225,6 +217,14 @@ impl Client {
     /// See [`request`](Client::request).
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
         self.request(&Request::Shutdown).map(|_| ())
+    }
+}
+
+/// Moves one field out of a response object, dropping the rest.
+fn take_field(response: Value, key: &str) -> Option<Value> {
+    match response {
+        Value::Object(fields) => fields.into_iter().find(|(k, _)| k == key).map(|(_, v)| v),
+        _ => None,
     }
 }
 

@@ -191,6 +191,25 @@ pub fn to_line(value: &Value) -> String {
     serde_json::to_string(value).expect("value serialization is infallible")
 }
 
+/// Appends the bytes of `to_line(value)` to `out`.
+pub(crate) fn write_line(out: &mut Vec<u8>, value: &Value) {
+    serde_json::to_writer(out, value).expect("writing to a Vec is infallible");
+}
+
+/// Appends the bytes of `to_line(&ok_response(fields))` to `out`, but
+/// serializes each field value where it lies: a shared report goes onto
+/// the wire without first being copied into a response tree.
+pub(crate) fn write_ok_response(out: &mut Vec<u8>, fields: &[(&str, &Value)]) {
+    out.extend_from_slice(br#"{"ok":true"#);
+    for (key, value) in fields {
+        out.push(b',');
+        serde_json::to_writer(&mut *out, key).expect("writing to a Vec is infallible");
+        out.push(b':');
+        write_line(out, value);
+    }
+    out.push(b'}');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +291,34 @@ mod tests {
         ] {
             let err = Request::parse(line).expect_err(line);
             assert!(err.contains(needle), "`{err}` should mention `{needle}`");
+        }
+    }
+
+    #[test]
+    fn written_ok_responses_match_built_ones() {
+        let report = Value::Object(vec![
+            (
+                "rows".into(),
+                Value::Array(vec![Value::Float(1.5), Value::Null]),
+            ),
+            ("title".into(), Value::Str("quote \" and é".into())),
+        ]);
+        let cases: [&[(&str, &Value)]; 4] = [
+            &[],
+            &[("id", &Value::UInt(7))],
+            &[("id", &Value::UInt(7)), ("result", &report)],
+            &[("k\"ey", &Value::Bool(false)), ("é", &report)],
+        ];
+        for fields in cases {
+            let built = ok_response(
+                fields
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), (*v).clone()))
+                    .collect(),
+            );
+            let mut out = Vec::new();
+            write_ok_response(&mut out, fields);
+            assert_eq!(String::from_utf8(out).unwrap(), to_line(&built));
         }
     }
 

@@ -12,7 +12,9 @@ use serde::Value;
 
 use crate::engine::Engine;
 use crate::error::ServeError;
-use crate::protocol::{error_response, ok_response, to_line, MetricsFormat, Request};
+use crate::protocol::{
+    error_response, ok_response, to_line, write_line, write_ok_response, MetricsFormat, Request,
+};
 
 /// A bound server address, normalized back to string form.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,6 +172,7 @@ where
 {
     let mut reader = BufReader::new(&stream);
     let mut line = String::new();
+    let mut reply = Vec::new();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -179,18 +182,30 @@ where
         if line.trim().is_empty() {
             continue;
         }
-        // `watch` is the protocol's one multi-line response: stream the
-        // delta lines here, then fall back to request/response mode.
-        if let Ok(Request::Watch { interval_ms, count }) = Request::parse(&line) {
-            if stream_watch(&stream, engine, interval_ms, count).is_err() {
-                return;
+        let request = match Request::parse(&line) {
+            // `watch` is the protocol's one multi-line response: stream
+            // the delta lines here, then fall back to request/response
+            // mode.
+            Ok(Request::Watch { interval_ms, count }) => {
+                if stream_watch(&stream, engine, interval_ms, count).is_err() {
+                    return;
+                }
+                continue;
             }
-            continue;
-        }
-        let (response, shutdown) = respond(engine, &line);
+            request => request,
+        };
+        reply.clear();
+        let shutdown = match request.and_then(|request| respond(engine, request, &mut reply)) {
+            Ok(shutdown) => shutdown,
+            Err(message) => {
+                write_line(&mut reply, &error_response(message));
+                false
+            }
+        };
+        reply.push(b'\n');
         let mut writer = &stream;
         if writer
-            .write_all((to_line(&response) + "\n").as_bytes())
+            .write_all(&reply)
             .and_then(|()| writer.flush())
             .is_err()
         {
@@ -204,73 +219,58 @@ where
     }
 }
 
-/// Computes the response for one request line; the boolean asks the
-/// caller to begin shutdown after writing it.
-fn respond(engine: &Engine, line: &str) -> (Value, bool) {
-    let request = match Request::parse(line) {
-        Ok(request) => request,
-        Err(message) => return (error_response(message), false),
-    };
+/// Writes the success line for one request to `out`, or returns the
+/// message for its `{"ok":false,...}` line (leaving `out` untouched).
+/// `Ok(true)` asks the caller to begin shutdown after sending the line.
+fn respond(engine: &Engine, request: Request, out: &mut Vec<u8>) -> Result<bool, String> {
+    let shutdown = matches!(request, Request::Shutdown);
     match request {
-        Request::Submit(spec) => match engine.submit(*spec) {
-            Ok((id, deduped)) => (
-                ok_response(vec![
-                    ("id".into(), Value::UInt(id)),
-                    ("deduped".into(), Value::Bool(deduped)),
-                ]),
-                false,
-            ),
-            Err(message) => (error_response(message), false),
-        },
-        Request::Status(id) => match engine.status(id) {
-            Some(status) => (
-                ok_response(vec![
-                    ("id".into(), Value::UInt(id)),
-                    ("state".into(), Value::Str(status.label().into())),
-                ]),
-                false,
-            ),
-            None => (error_response(format!("unknown job id {id}")), false),
-        },
-        Request::Result(id) => match engine.wait_result(id) {
-            Ok(report) => (
-                ok_response(vec![
-                    ("id".into(), Value::UInt(id)),
-                    ("result".into(), (*report).clone()),
-                ]),
-                false,
-            ),
-            Err(message) => (error_response(message), false),
-        },
-        Request::Stats => (ok_response(vec![("stats".into(), engine.stats())]), false),
+        Request::Submit(spec) => {
+            let (id, deduped) = engine.submit(*spec)?;
+            write_ok_response(
+                out,
+                &[("id", &Value::UInt(id)), ("deduped", &Value::Bool(deduped))],
+            );
+        }
+        Request::Status(id) => {
+            let status = engine
+                .status(id)
+                .ok_or_else(|| format!("unknown job id {id}"))?;
+            write_ok_response(
+                out,
+                &[
+                    ("id", &Value::UInt(id)),
+                    ("state", &Value::Str(status.label().into())),
+                ],
+            );
+        }
+        Request::Result(id) => {
+            let report = engine.wait_result(id)?;
+            write_ok_response(out, &[("id", &Value::UInt(id)), ("result", &report)]);
+        }
+        Request::Stats => write_ok_response(out, &[("stats", &engine.stats())]),
         Request::Metrics(format) => {
             let snapshot = engine.metrics();
-            let fields = match format {
-                MetricsFormat::Json => vec![("metrics".into(), snapshot.to_value())],
-                MetricsFormat::Prometheus => {
-                    vec![("metrics_text".into(), Value::Str(snapshot.to_prometheus()))]
-                }
-            };
-            (ok_response(fields), false)
+            match format {
+                MetricsFormat::Json => write_ok_response(out, &[("metrics", &snapshot.to_value())]),
+                MetricsFormat::Prometheus => write_ok_response(
+                    out,
+                    &[("metrics_text", &Value::Str(snapshot.to_prometheus()))],
+                ),
+            }
         }
-        Request::Profile(id) => match engine.profile(id) {
-            Ok(profile) => (
-                ok_response(vec![
-                    ("id".into(), Value::UInt(id)),
-                    ("profile".into(), (*profile).clone()),
-                ]),
-                false,
-            ),
-            Err(message) => (error_response(message), false),
-        },
+        Request::Profile(id) => {
+            let profile = engine.profile(id)?;
+            write_ok_response(out, &[("id", &Value::UInt(id)), ("profile", &profile)]);
+        }
         // Streamed by `handle_connection` before `respond` is reached;
         // kept total so a direct call still answers sensibly.
-        Request::Watch { .. } => (
-            error_response("watch is a streaming command; connect over a socket"),
-            false,
-        ),
-        Request::Shutdown => (ok_response(vec![]), true),
+        Request::Watch { .. } => {
+            return Err("watch is a streaming command; connect over a socket".into())
+        }
+        Request::Shutdown => write_ok_response(out, &[]),
     }
+    Ok(shutdown)
 }
 
 /// Streams one `watch` reply: `count` lines of metrics deltas, each

@@ -1,8 +1,11 @@
 //! End-to-end protocol tests: a real server on a real socket, driven by
 //! the blocking [`Client`], over both transports.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::thread;
 
+use mim_serve::protocol::{ok_response, to_line, Request};
 use mim_serve::{CellMemo, Client, JobSpec, Server, WorkloadStore};
 use serde::Value;
 
@@ -321,6 +324,70 @@ fn result_bytes_identical_with_timing_off() {
         "telemetry must never leak into result payloads"
     );
     assert_eq!(executions, 1, "counters keep working with timing off");
+}
+
+#[test]
+fn result_reply_bytes_match_the_built_response() {
+    // The server writes a finished report straight from the engine's
+    // shared copy; the bytes must be those of the response tree.
+    with_server("tcp:127.0.0.1:0", |addr, engine| {
+        let mut client = Client::connect(addr).expect("connect");
+        let id = client
+            .submit(&quick_experiment("bytes"))
+            .expect("submit")
+            .id;
+        let report = engine.wait_result(id).expect("job succeeds");
+        let expected = to_line(&ok_response(vec![
+            ("id".into(), Value::UInt(id)),
+            ("result".into(), (*report).clone()),
+        ]));
+        let replies = raw_exchange(addr, &[&Request::Result(id).to_line()]);
+        assert_eq!(replies[0], expected + "\n");
+    });
+}
+
+#[test]
+fn deeply_nested_request_is_rejected_and_the_server_keeps_serving() {
+    with_server("tcp:127.0.0.1:0", |addr, _| {
+        let deep = "[".repeat(200_000);
+        let replies = raw_exchange(addr, &[&deep, &Request::Stats.to_line()]);
+        let rejected: Value = serde_json::from_str(&replies[0]).expect("reply is JSON");
+        assert_eq!(rejected.get("ok"), Some(&Value::Bool(false)));
+        let message = match rejected.get("error") {
+            Some(Value::Str(s)) => s.clone(),
+            other => panic!("error reply has no message: {other:?}"),
+        };
+        assert!(message.contains("recursion limit"), "got `{message}`");
+        // The same connection answers the next request...
+        let stats: Value = serde_json::from_str(&replies[1]).expect("reply is JSON");
+        assert_eq!(stats.get("ok"), Some(&Value::Bool(true)));
+        // ...and the server still runs jobs for new ones.
+        let mut client = Client::connect(addr).expect("connect");
+        let id = client
+            .submit(&quick_experiment("after-deep"))
+            .expect("submit")
+            .id;
+        assert!(client.result(id).is_ok());
+    });
+}
+
+/// Sends each raw line over one TCP connection and returns the reply
+/// line (newline included) read after each.
+fn raw_exchange(addr: &str, lines: &[&str]) -> Vec<String> {
+    let hostport = addr.strip_prefix("tcp:").expect("a tcp address");
+    let mut writer = TcpStream::connect(hostport).expect("connect");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    lines
+        .iter()
+        .map(|line| {
+            writer
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send line");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("read reply");
+            reply
+        })
+        .collect()
 }
 
 /// Reads one numeric counter out of a stats sub-object.
